@@ -11,10 +11,10 @@ package itself stays free of system/harness imports (reprolint R014):
   validation: two E05-shaped points (below and near saturation, no
   shedding) and one E19-shaped overload point (deadline + admission
   cap at 1.2× saturation, the same knobs as the e19 experiment);
-* :func:`run_live_smoke` — for each point, build the seeded arrival
-  script once, run it through the simulator
-  (:func:`~repro.sim.script.run_scripted_point`) and through the real
-  asyncio server over localhost TCP
+* :func:`run_live_smoke` — for each point, run the simulator
+  (:func:`~repro.sim.experiment.run_load_point`), build the arrival
+  script the simulator drew from the same config, replay it through
+  the real asyncio server over localhost TCP
   (:func:`~repro.runtime.smoke.run_live_point`), and compare with
   :func:`~repro.runtime.parity.tolerance_report`. The combined
   machine-readable report is written with the provenance-grade JSON
@@ -51,8 +51,8 @@ from repro.profiles.measurement import QueryCostTable
 from repro.runtime.node import RankedResults
 from repro.runtime.parity import DEFAULT_TOLERANCES, tolerance_report
 from repro.runtime.smoke import run_live_point
-from repro.sim.experiment import LoadPointConfig
-from repro.sim.script import build_arrival_script, run_scripted_point
+from repro.sim.experiment import LoadPointConfig, run_load_point
+from repro.sim.script import build_arrival_script
 from repro.util.serde import dump_json, to_jsonable
 
 __all__ = [
@@ -205,9 +205,7 @@ def run_live_smoke(
         script = build_arrival_script(
             system.oracle.n_queries, point.config
         )
-        sim_summary, _ = run_scripted_point(
-            system.oracle, policy_sim, point.config, script
-        )
+        sim_summary = run_load_point(system.oracle, policy_sim, point.config)
         live_summary, _ = asyncio.run(
             run_live_point(
                 system.oracle,

@@ -4,9 +4,9 @@ The counterpart of :mod:`repro.sim`: where the simulator drives the
 scheduling kernel on virtual time, this package drives it on *wall*
 time —
 
-* :class:`~repro.runtime.clock.WallClock` / :class:`~repro.runtime.
-  clock.FakeClock` — the live and deterministic-test implementations
-  of the kernel's clock interfaces;
+* :class:`~repro.runtime.clock.WallClock` — the wall-time
+  implementation of the kernel's clock interface (deterministic tests
+  host the node on a :class:`~repro.sim.engine.Simulator` instead);
 * :class:`~repro.runtime.node.ServingNode` — the clock-agnostic server
   model assembled for live serving (engine results, outcome
   callbacks, shared metrics schema);
@@ -15,8 +15,8 @@ time —
 * :mod:`~repro.runtime.loadgen` — open/closed-loop protocol clients
   replaying the simulator's seeded arrival scripts;
 * :mod:`~repro.runtime.parity` / :mod:`~repro.runtime.smoke` — the
-  sim-vs-live verification tier (exact decision parity on FakeClock,
-  tolerance-band smoke validation over real sockets).
+  sim-vs-live verification tier (exact decision parity with the node
+  on a simulator, tolerance-band smoke validation over real sockets).
 
 Layering (enforced by reprolint R014): ``runtime`` may use the kernel,
 models, observability, and the ``sim`` workload/metrics/server-model
@@ -25,11 +25,10 @@ modules it rehosts, but neither ``sim`` nor the kernel ever imports
 :class:`repro.core.clock.ClockProtocol`.
 """
 
-from repro.runtime.clock import FakeClock, WallClock
+from repro.runtime.clock import WallClock
 from repro.runtime.node import QueryOutcome, ServingConfig, ServingNode
 
 __all__ = [
-    "FakeClock",
     "QueryOutcome",
     "ServingConfig",
     "ServingNode",

@@ -4,10 +4,10 @@
 deadline, degree-grant, and escalation decision through the pure
 kernel in :mod:`repro.core.scheduling` and touches time only through
 :class:`~repro.core.clock.SchedulerProtocol`. :class:`ServingNode`
-rehosts that exact model outside the simulator: hand it a scheduler —
-the asyncio adapter from :mod:`repro.runtime.serve` for live traffic,
-a :class:`~repro.runtime.clock.FakeClock` in deterministic tests — and
-it serves queries with *the same decision sequence* the simulator
+rehosts that exact model outside the simulator's runners: hand it a
+scheduler — the asyncio adapter from :mod:`repro.runtime.serve` for
+live traffic, a :class:`~repro.sim.engine.Simulator` stepped by hand in
+deterministic tests — and it serves queries with *the same decision sequence* the simulator
 would produce on the same inputs, which is what the parity test tier
 pins.
 

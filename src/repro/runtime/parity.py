@@ -5,9 +5,10 @@ on a different clock:
 
 1. **Exact decision parity** (deterministic). :func:`run_scripted_live`
    replays a :class:`~repro.sim.script.ScriptedArrival` script through
-   a :class:`~repro.runtime.node.ServingNode` on a manually-advanced
-   :class:`~repro.runtime.clock.FakeClock`, mirroring the simulator's
-   horizon-then-bounded-drain schedule. :func:`decision_events`
+   a :class:`~repro.runtime.node.ServingNode` hosted on a
+   :class:`~repro.sim.engine.Simulator`, driven by the same
+   :func:`~repro.sim.experiment.run_arrivals` schedule as
+   :func:`~repro.sim.experiment.run_load_point`. :func:`decision_events`
    flattens the traced lifecycle of either run into the ordered
    sequence of (admit | shed | degree_grant | escalate) decisions with
    their timestamps and attributes; :func:`compare_decision_sequences`
@@ -38,9 +39,9 @@ from repro.obs.spans import (
     Tracer,
 )
 from repro.policies.base import ParallelismPolicy
-from repro.runtime.clock import FakeClock
 from repro.runtime.node import ServingConfig, ServingNode
-from repro.sim.experiment import LoadPointConfig, LoadPointSummary
+from repro.sim.engine import Simulator
+from repro.sim.experiment import LoadPointConfig, LoadPointSummary, run_arrivals
 from repro.sim.oracle import ServiceOracle
 from repro.sim.script import ScriptedArrival
 
@@ -137,17 +138,18 @@ def run_scripted_live(
     tracer: Optional[Tracer] = None,
     engine_search: Optional[Any] = None,
 ) -> Tuple[LoadPointSummary, ServingNode]:
-    """Replay ``script`` through the live node on a :class:`FakeClock`.
+    """Replay ``script`` through the live node on a :class:`Simulator`.
 
-    The schedule mirrors :func:`~repro.sim.script.run_scripted_point`
-    exactly — run to the horizon (events at the boundary fire), then
-    bounded drain while jobs remain — so a sim run and this live run
-    on the same script are comparable event for event. No wall time
-    passes: the clock only moves when this function advances it.
+    The node runs on the simulator's own driver
+    (:func:`~repro.sim.experiment.run_arrivals`): to the horizon (events
+    at the boundary fire), then bounded drain while jobs remain. A
+    :func:`~repro.sim.experiment.run_load_point` run and this replay of
+    the script built from the same config are therefore comparable
+    event for event. No wall time passes.
     """
-    clock = FakeClock()
+    simulator = Simulator()
     node = ServingNode(
-        clock,
+        simulator,
         oracle,
         policy,
         ServingConfig(
@@ -162,19 +164,16 @@ def run_scripted_live(
         tracer=tracer,
     )
     node.attach_controllers(controllers, horizon_s=config.duration)
-    for arrival in script:
-        clock.schedule_at(
-            arrival.time_s,
-            lambda a=arrival: node.submit(a.query_index, query_class=a.query_class),
-        )
-    clock.advance_to(config.duration)
-    drain_limit = config.duration * 10.0
-    while (
-        node.server.n_running or node.server.queue_length
-    ) and clock.now < drain_limit and clock.pending:
-        next_event = clock.next_event_s()
-        assert next_event is not None
-        clock.advance_to(next_event)
+    server = node.server
+    run_arrivals(
+        simulator,
+        iter(script),
+        lambda arrival: node.submit(
+            arrival.query_index, query_class=arrival.query_class
+        ),
+        config.duration,
+        lambda: bool(server.n_running or server.queue_length),
+    )
     return node.summary(config.rate), node
 
 

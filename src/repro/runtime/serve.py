@@ -25,16 +25,18 @@ Two scheduler hostings, same node code:
   units. That is what makes live smoke runs comparable to simulator
   predictions on a noisy CI machine while keeping every model-seconds
   quantity (deadlines, latencies, metrics windows) untouched.
-* :class:`~repro.runtime.clock.FakeClock` — tests instantiate
-  :class:`LiveServer` on one and advance time by hand: entire query
+* :class:`~repro.sim.engine.Simulator` — tests instantiate
+  :class:`LiveServer` on one and step model time by hand: entire query
   lifecycles execute deterministically with zero real sleeps.
 
 Deadline discipline (reprolint R019): every awaited read, drain, and
 connection-shutdown call is bounded by ``asyncio.wait_for``; each
 search waits on its completion future under a budget derived from the
 request (model seconds, converted to wall seconds through the
-dilation); connection tasks are tracked per connection and cancelled
-on hangup.
+dilation); request tasks are tracked per connection and cancelled on
+hangup, and connection handlers are tracked per server: shutdown closes
+every open connection and awaits its handler, so none is left parked in
+a read for the event loop's teardown to cancel.
 """
 
 from __future__ import annotations
@@ -54,6 +56,8 @@ __all__ = ["AsyncioScheduler", "LiveServer"]
 _BIND_TIMEOUT_S = 10.0
 #: Wall-seconds bound on flushing / closing a connection.
 _CLOSE_TIMEOUT_S = 5.0
+#: Reply to a request line over the stream reader's length limit.
+_LINE_TOO_LONG: Dict[str, Any] = {"id": None, "ok": False, "error": "line-too-long"}
 
 
 class AsyncioScheduler:
@@ -134,6 +138,8 @@ class LiveServer:
         self._ready = asyncio.Event()
         self._shutdown = asyncio.Event()
         self._rates_seen: Dict[str, float] = {}
+        # Open connections: handler task -> its writer.
+        self._connections: Dict["asyncio.Task[None]", asyncio.StreamWriter] = {}
 
     # ----------------------------------------------------------------
     # Lifecycle
@@ -176,6 +182,14 @@ class LiveServer:
                     pass
         finally:
             server.close()
+            # Hang up on open connections; each handler then sees end
+            # of stream and finishes on its own.
+            for writer in self._connections.values():
+                writer.close()
+            if self._connections:
+                await asyncio.wait(
+                    set(self._connections), timeout=_CLOSE_TIMEOUT_S
+                )
             try:
                 await asyncio.wait_for(
                     server.wait_closed(), timeout=_CLOSE_TIMEOUT_S
@@ -193,6 +207,9 @@ class LiveServer:
         tasks: Set["asyncio.Task[None]"] = set()
         write_lock = asyncio.Lock()
         loop = asyncio.get_running_loop()
+        handler = asyncio.current_task()
+        assert handler is not None
+        self._connections[handler] = writer
         try:
             while not self._shutdown.is_set():
                 try:
@@ -201,6 +218,15 @@ class LiveServer:
                     )
                 except asyncio.TimeoutError:
                     break  # idle connection: hang up
+                except ValueError:
+                    # Over the reader's line limit: the rest of the
+                    # stream cannot be split into requests, so answer
+                    # once and hang up.
+                    try:
+                        await self._write_reply(_LINE_TOO_LONG, writer, write_lock)
+                    except (OSError, asyncio.TimeoutError):
+                        pass
+                    break
                 if not line:
                     break  # client closed
                 # One task per request so slow searches never head-of-
@@ -211,7 +237,13 @@ class LiveServer:
                 tasks.add(task)
                 task.add_done_callback(tasks.discard)
         finally:
+            del self._connections[handler]
             if tasks:
+                if self._shutdown.is_set():
+                    # The server closed this connection: no reply can
+                    # be delivered any more.
+                    for task in tasks:
+                        task.cancel()
                 budget = self.request_budget_s * self.dilation + _CLOSE_TIMEOUT_S
                 try:
                     await asyncio.wait_for(
@@ -243,6 +275,14 @@ class LiveServer:
             reply: Dict[str, Any] = {"id": None, "ok": False, "error": "bad-json"}
         else:
             reply = await self._dispatch(message)
+        await self._write_reply(reply, writer, write_lock)
+
+    async def _write_reply(
+        self,
+        reply: Dict[str, Any],
+        writer: asyncio.StreamWriter,
+        write_lock: asyncio.Lock,
+    ) -> None:
         data = (json.dumps(reply, sort_keys=True) + "\n").encode("utf-8")
         async with write_lock:
             writer.write(data)

@@ -1,7 +1,7 @@
 """One live smoke load point: server + load generator, in process.
 
 :func:`run_live_point` is the wall-clock counterpart of
-:func:`~repro.sim.script.run_scripted_point`: it boots a
+:func:`~repro.sim.experiment.run_load_point`: it boots a
 :class:`~repro.runtime.serve.LiveServer` on an ephemeral localhost
 port, replays the given arrival script open-loop through real TCP with
 :func:`~repro.runtime.loadgen.replay_open_loop`, shuts the server

@@ -9,12 +9,17 @@ returning the time to the next arrival. Provided models:
 * :class:`MMPP2Arrivals` — a 2-state Markov-modulated Poisson process
   modeling bursty traffic (the robustness experiment);
 * :class:`TraceArrivals` — replay of explicit timestamps.
+
+:func:`arrival_times` turns any of them into absolute arrival times up
+to a horizon; it is the one place the "draw a gap, stop at the end of
+the stream or the horizon" rule lives.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Callable, Sequence
+import math
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -31,6 +36,25 @@ class ArrivalProcess(abc.ABC):
 
     def reset(self) -> None:  # pragma: no cover - optional override
         """Restart the stream (only meaningful for finite traces)."""
+
+
+def arrival_times(arrivals: ArrivalProcess, horizon_s: float) -> Iterator[float]:
+    """Absolute arrival times of ``arrivals``, drawn lazily.
+
+    Each step draws one gap; the stream ends at the first gap that is
+    not finite or would land past ``horizon_s``. A run of ``n``
+    arrivals therefore makes ``n + 1`` ``next_interarrival()`` calls,
+    and a consumer that reads each time before asking for the next one
+    sees the process's per-arrival state (``last_class``) for that
+    arrival.
+    """
+    now = 0.0
+    while True:
+        gap = arrivals.next_interarrival()
+        if not math.isfinite(gap) or now + gap > horizon_s:
+            return
+        now += gap
+        yield now
 
 
 class PoissonArrivals(ArrivalProcess):

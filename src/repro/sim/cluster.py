@@ -36,14 +36,15 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional
 
 import numpy as np
 
 from repro.obs.spans import NULL_TRACER, ClusterTraceBuilder, Tracer
 from repro.policies.base import ParallelismPolicy
-from repro.sim.arrivals import ArrivalProcess, PoissonArrivals
+from repro.sim.arrivals import ArrivalProcess, PoissonArrivals, arrival_times
 from repro.sim.engine import Simulator
+from repro.sim.experiment import run_arrivals
 from repro.sim.faults import ClusterFaultPlan
 from repro.sim.metrics import MetricsCollector, QueryRecord
 from repro.sim.oracle import ServiceOracle
@@ -56,7 +57,7 @@ class _InFlight:
     """Join state for one fanned-out cluster query."""
 
     __slots__ = (
-        "arrival",
+        "time_s",
         "query_indices",
         "responded",
         "outstanding",
@@ -67,8 +68,8 @@ class _InFlight:
         "trace",
     )
 
-    def __init__(self, arrival: float, query_indices: List[int]) -> None:
-        self.arrival = arrival
+    def __init__(self, time_s: float, query_indices: List[int]) -> None:
+        self.time_s = time_s  # arrival time
         # Per-shard cost-table rows, remembered so hedged re-issues do
         # the same work on the replica as on the primary.
         self.query_indices = query_indices
@@ -76,7 +77,7 @@ class _InFlight:
         self.responded = [False] * n_shards
         self.outstanding = [1] * n_shards  # live attempts per shard
         self.n_responded = 0
-        self.last_completion = arrival
+        self.last_completion = time_s
         self.hedged = False
         self.done = False
         # Aggregator-side span builder (tracer enabled only).
@@ -236,7 +237,7 @@ def run_cluster_point(
                     timed_out=timed_out, quorum=config.quorum,
                 )
             )
-        if state.arrival < config.warmup:
+        if state.time_s < config.warmup:
             return
         coverage = state.n_responded / config.n_shards
         if timed_out:
@@ -245,7 +246,7 @@ def run_cluster_point(
             counters["failed"] += 1
             return
         counters["full" if coverage == 1.0 else "partial"] += 1
-        latency = now + config.aggregation_overhead - state.arrival
+        latency = now + config.aggregation_overhead - state.time_s
         cluster_latencies.append(latency)
         coverages.append(coverage)
         if config.deadline is not None and latency <= config.deadline:
@@ -342,7 +343,6 @@ def run_cluster_point(
         else []
     )
 
-    n_queries = oracle.n_queries
     next_tag = [0]
 
     def hedge(tag: int) -> None:
@@ -380,42 +380,40 @@ def run_cluster_point(
             return
         finalize(tag, state, simulator.now, timed_out=True)
 
-    def arrive() -> None:
+    def queries() -> Iterator[_InFlight]:
+        # Independent work per partition for the same logical query.
+        n_queries = oracle.n_queries
+        for time_s in arrival_times(arrivals, config.duration):
+            yield _InFlight(
+                time_s,
+                [int(sample_rng.integers(n_queries)) for _ in shards],
+            )
+
+    def arrive(state: _InFlight) -> None:
         tag = next_tag[0]
         next_tag[0] += 1
-        indices = [int(sample_rng.integers(n_queries)) for _ in shards]
-        state = _InFlight(simulator.now, indices)
+        indices = state.query_indices
         if tracer.enabled:
-            state.trace = ClusterTraceBuilder(tag, simulator.now, config.n_shards)
+            state.trace = ClusterTraceBuilder(tag, state.time_s, config.n_shards)
             for shard_id in range(config.n_shards):
                 state.trace.shard_submitted(
-                    simulator.now, shard_id, indices[shard_id]
+                    state.time_s, shard_id, indices[shard_id]
                 )
         in_flight[tag] = state
         for shard_id, shard in enumerate(shards):
-            # Independent work per partition for the same logical query.
             shard.submit(indices[shard_id], tag=(tag, shard_id))
         if config.hedge_delay is not None:
             simulator.schedule(config.hedge_delay, lambda t=tag: hedge(t))
         if config.shard_timeout is not None:
             simulator.schedule(config.shard_timeout, lambda t=tag: timeout(t))
-        schedule_next()
 
-    def schedule_next() -> None:
-        gap = arrivals.next_interarrival()
-        if not np.isfinite(gap) or simulator.now + gap > config.duration:
-            return
-        simulator.schedule(gap, arrive)
-
-    schedule_next()
-    simulator.run(until_s=config.duration)
-    drain_limit = config.duration * 10.0
-    while in_flight and simulator.now < drain_limit and simulator.pending_events:
-        simulator.step()
+    run_arrivals(
+        simulator, queries(), arrive, config.duration, lambda: bool(in_flight)
+    )
     unfinished = len(in_flight)
     if unfinished:
         warnings.warn(
-            f"cluster drain limit ({drain_limit:.1f}s) tripped with "
+            f"cluster drain limit ({config.duration * 10.0:.1f}s) tripped with "
             f"{unfinished} queries still in flight; tail statistics are "
             "censored (the load point is deeply saturated)",
             RuntimeWarning,

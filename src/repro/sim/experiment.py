@@ -1,26 +1,33 @@
 """One simulated load point: drive arrivals into the server, summarize.
 
-:func:`run_load_point` wires workload → server → metrics for a single
-(policy, arrival-process) combination and returns a
-:class:`LoadPointSummary`. Load sweeps in the harness call it per rate.
+:func:`run_arrivals` is the one open-loop driver: it feeds an arrival
+stream into a simulator, runs to the horizon, then drains the work in
+flight. :func:`run_load_point` wires workload → server → metrics for a
+single (policy, arrival-process) combination on it and returns a
+:class:`LoadPointSummary`; load sweeps in the harness call it per rate.
+:func:`run_trace_point`, the cluster runner and the serving node's
+scripted replay use the same driver.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable, Dict, Iterator, List, Optional, Protocol, Sequence, Tuple,
+    TypeVar, Union,
+)
 
 import numpy as np
 
 from repro.obs.registry import RunObserver
 from repro.policies.base import ParallelismPolicy
-from repro.sim.arrivals import ArrivalProcess, PoissonArrivals
+from repro.sim.arrivals import ArrivalProcess
 from repro.sim.engine import Simulator
 from repro.sim.metrics import MetricsCollector, QueryRecord
 from repro.sim.oracle import ServiceOracle
+from repro.sim.script import ScriptedArrival, arrival_stream
 from repro.sim.server import IndexServerModel
-from repro.util.rng import RngFactory
 from repro.util.validation import require, require_int_in_range, require_positive
 
 
@@ -93,6 +100,55 @@ class LoadPointSummary:
         return self.throughput < 0.95 * self.rate
 
 
+class _Timed(Protocol):
+    @property
+    def time_s(self) -> float: ...
+
+
+_Arrival = TypeVar("_Arrival", bound=_Timed)
+
+
+def run_arrivals(
+    simulator: Simulator,
+    stream: Iterator[_Arrival],
+    submit: Callable[[_Arrival], None],
+    horizon_s: float,
+    busy: Callable[[], bool],
+    drain_limit_s: Optional[float] = None,
+) -> None:
+    """Drive ``stream`` into ``simulator``: the one open-loop schedule.
+
+    Exactly one arrival sits on the event heap at a time: when it fires
+    it is submitted, and only then is the next one drawn from the
+    stream — so RNG draws happen in arrival order and a stream of ``n``
+    arrivals is read ``n + 1`` times. The run goes to ``horizon_s``
+    (events at the boundary fire), then steps on while ``busy()`` says
+    work is in flight, up to ``drain_limit_s``. The default limit, ten
+    horizons, keeps an overloaded point from spinning forever: jobs
+    still running past it are dropped from the statistics (they only
+    exist in deeply saturated sweeps).
+    """
+    if drain_limit_s is None:
+        drain_limit_s = horizon_s * 10.0
+    pending: Optional[_Arrival] = None
+
+    def arrive() -> None:
+        assert pending is not None
+        submit(pending)
+        schedule_next()
+
+    def schedule_next() -> None:
+        nonlocal pending
+        pending = next(stream, None)
+        if pending is not None:
+            simulator.schedule_at(pending.time_s, arrive)
+
+    schedule_next()
+    simulator.run(until_s=horizon_s)
+    while busy() and simulator.now < drain_limit_s and simulator.pending_events:
+        simulator.step()
+
+
 def run_load_point(
     oracle: ServiceOracle,
     policy: ParallelismPolicy,
@@ -124,13 +180,6 @@ def run_load_point(
     the run's ``sample`` stream. Class labels also flow into
     ``server.submit(query_class=...)`` for class-based shedding.
     """
-    # Position-independent child streams (see util/rng.py docstring).
-    streams = RngFactory(config.seed)
-    arrival_rng = streams.stream("arrivals")
-    sample_rng = streams.stream("sample")
-    if arrivals is None:
-        arrivals = PoissonArrivals(config.rate, arrival_rng)
-
     simulator = Simulator()
     metrics = MetricsCollector(config.warmup, config.duration, config.n_cores)
     server = IndexServerModel(
@@ -149,40 +198,15 @@ def run_load_point(
     for controller in controllers:
         controller.attach(simulator, server, metrics, horizon_s=config.duration)
 
-    n_queries = oracle.n_queries
-
-    def arrive() -> None:
-        # The class label belongs to the arrival scheduled by the most
-        # recent next_interarrival() call — read it before schedule_next
-        # overwrites it with the following arrival's label.
-        arrival_class = getattr(arrivals, "last_class", None)
-        if query_sampler is not None:
-            query_index = int(query_sampler.sample(arrival_class))
-        else:
-            query_index = int(sample_rng.integers(n_queries))
-        server.submit(query_index, query_class=arrival_class)
-        schedule_next()
-
-    def schedule_next() -> None:
-        gap = arrivals.next_interarrival()
-        if math.isinf(gap):
-            return
-        # Stop generating arrivals at the horizon; queries already in
-        # flight drain below so the slow tail is never censored.
-        if simulator.now + gap > config.duration:
-            return
-        simulator.schedule(gap, arrive)
-
-    schedule_next()
-    simulator.run(until_s=config.duration)
-    # Drain in-flight work (bounded, so an overloaded point cannot spin
-    # forever: past 9x the horizon the remaining jobs are dropped from
-    # the statistics — they only exist in deeply saturated sweeps).
-    drain_limit = config.duration * 10.0
-    while (
-        server.n_running or server.queue_length
-    ) and simulator.now < drain_limit and simulator.pending_events:
-        simulator.step()
+    run_arrivals(
+        simulator,
+        arrival_stream(oracle.n_queries, config, arrivals, query_sampler),
+        lambda arrival: server.submit(
+            arrival.query_index, query_class=arrival.query_class
+        ),
+        config.duration,
+        lambda: bool(server.n_running or server.queue_length),
+    )
     if observer is not None:
         observer.finish()
 
@@ -276,9 +300,14 @@ def run_trace_point(
     simulator = Simulator()
     metrics = MetricsCollector(warmup, effective_horizon, n_cores)
     server = IndexServerModel(simulator, oracle, policy, n_cores, metrics)
-    for t, qi in zip(times, indices):
-        simulator.schedule_at(float(t), lambda qi=int(qi): server.submit(qi))
-    simulator.run()
+    run_arrivals(
+        simulator,
+        (ScriptedArrival(float(t), int(qi)) for t, qi in zip(times, indices)),
+        lambda arrival: server.submit(arrival.query_index),
+        effective_horizon,
+        lambda: bool(server.n_running or server.queue_length),
+        drain_limit_s=math.inf,
+    )
 
     queue_delays = metrics.queue_delays()
     mean_rate = times.shape[0] / effective_horizon

@@ -1,55 +1,43 @@
-"""Scripted arrival streams: one workload, replayable on any clock.
+"""Arrival streams: one workload, replayable on any clock.
 
-:func:`run_load_point` draws its arrival times and query indices online
-while the simulation runs, which is fine when the simulator is the only
-consumer. Sim-vs-live validation needs something stronger: the *same*
-workload must be submittable to the virtual-time server model and to
-the wall-clock serving runtime, event for event. This module
-materializes the stream up front:
+Every open-loop run consumes the same kind of stream: arrivals, each a
+:class:`ScriptedArrival` (when, which query, which traffic class),
+drawn lazily from a seeded arrival process.
 
-* :func:`build_arrival_script` replays exactly the RNG-stream semantics
-  of :func:`~repro.sim.experiment.run_load_point` (``arrivals`` /
-  ``sample`` child streams of the seed, class labels read from the
-  arrival process's ``last_class``) into a list of
-  :class:`ScriptedArrival` rows — so a script built from ``(seed,
-  rate, duration)`` is the workload ``run_load_point`` would have
-  generated internally;
-* :func:`run_scripted_point` replays a script through the simulator and
-  summarizes it with the shared
-  :func:`~repro.sim.experiment.summarize_load_point` schema.
+* :func:`arrival_stream` is that stream. Gaps come from the
+  ``arrivals`` child stream of the seed, query indices from the
+  ``sample`` child stream (or a class-aware sampler), class labels from
+  the arrival process's ``last_class``.
+  :func:`~repro.sim.experiment.run_load_point` consumes it online.
+* :func:`build_arrival_script` is ``list()`` over the same stream, so a
+  script built from ``(seed, rate, duration)`` is exactly the workload
+  ``run_load_point`` draws.
 
-The wall-clock counterparts live in :mod:`repro.runtime.loadgen`
-(paced TCP replay) and :mod:`repro.runtime.parity` (FakeClock replay);
-because all of them consume the identical script, any divergence in
-their decision sequences is attributable to the hosting, never the
-workload.
+A script is replayed by the serving node on a
+:class:`~repro.sim.engine.Simulator`
+(:func:`~repro.runtime.parity.run_scripted_live`, on the same driver as
+``run_load_point``) and by paced TCP replay over real sockets
+(:mod:`repro.runtime.loadgen`). Because they all consume the identical
+arrivals, any divergence in their decision sequences is attributable to
+the hosting, never the workload.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Optional
 
-from repro.obs.spans import Tracer
-from repro.policies.base import ParallelismPolicy
-from repro.sim.arrivals import ArrivalProcess, PoissonArrivals
-from repro.sim.engine import Simulator
-from repro.sim.experiment import (
-    LoadPointConfig,
-    LoadPointSummary,
-    summarize_load_point,
-)
-from repro.sim.metrics import MetricsCollector
-from repro.sim.oracle import ServiceOracle
-from repro.sim.server import IndexServerModel
+from repro.sim.arrivals import ArrivalProcess, PoissonArrivals, arrival_times
 from repro.util.rng import RngFactory
 from repro.util.validation import require_int_in_range
 
+if TYPE_CHECKING:
+    from repro.sim.experiment import LoadPointConfig
+
 __all__ = [
     "ScriptedArrival",
+    "arrival_stream",
     "build_arrival_script",
-    "run_scripted_point",
 ]
 
 
@@ -62,92 +50,42 @@ class ScriptedArrival:
     query_class: Optional[str] = None
 
 
+def arrival_stream(
+    n_queries: int,
+    config: LoadPointConfig,
+    arrivals: Optional[ArrivalProcess] = None,
+    query_sampler: Optional[object] = None,
+) -> Iterator[ScriptedArrival]:
+    """The arrivals of one load point, drawn lazily.
+
+    Interarrival gaps come from the ``arrivals`` child stream of
+    ``config.seed`` (Poisson at ``config.rate`` unless an explicit
+    process is given); query indices from the ``sample`` child stream,
+    or from ``query_sampler`` keyed by the arrival's class label. The
+    stream ends at the first arrival that would land past
+    ``config.duration``.
+    """
+    require_int_in_range(n_queries, "n_queries", low=1)
+    streams = RngFactory(config.seed)
+    sample_rng = streams.stream("sample")
+    if arrivals is None:
+        arrivals = PoissonArrivals(config.rate, streams.stream("arrivals"))
+    for time_s in arrival_times(arrivals, config.duration):
+        # The class label belongs to the arrival whose gap was just
+        # drawn; read it before the next draw overwrites it.
+        arrival_class = getattr(arrivals, "last_class", None)
+        if query_sampler is not None:
+            query_index = int(query_sampler.sample(arrival_class))
+        else:
+            query_index = int(sample_rng.integers(n_queries))
+        yield ScriptedArrival(time_s, query_index, arrival_class)
+
+
 def build_arrival_script(
     n_queries: int,
     config: LoadPointConfig,
     arrivals: Optional[ArrivalProcess] = None,
     query_sampler: Optional[object] = None,
 ) -> List[ScriptedArrival]:
-    """Materialize the arrival stream ``run_load_point`` would generate.
-
-    Draw-for-draw identical to the online path: interarrival gaps come
-    from the ``arrivals`` child stream of ``config.seed`` (Poisson at
-    ``config.rate`` unless an explicit process is given), query indices
-    from the ``sample`` child stream — or from ``query_sampler`` keyed
-    by the arrival's class label — and generation stops at the first
-    arrival that would land past ``config.duration``.
-    """
-    require_int_in_range(n_queries, "n_queries", low=1)
-    streams = RngFactory(config.seed)
-    arrival_rng = streams.stream("arrivals")
-    sample_rng = streams.stream("sample")
-    if arrivals is None:
-        arrivals = PoissonArrivals(config.rate, arrival_rng)
-
-    script: List[ScriptedArrival] = []
-    now = 0.0
-    while True:
-        gap = arrivals.next_interarrival()
-        if math.isinf(gap):
-            break
-        if now + gap > config.duration:
-            break
-        now += gap
-        # The class label belongs to the arrival produced by the draw
-        # above (matches the read-before-next-draw order of the online
-        # path in run_load_point).
-        arrival_class = getattr(arrivals, "last_class", None)
-        if query_sampler is not None:
-            query_index = int(query_sampler.sample(arrival_class))
-        else:
-            query_index = int(sample_rng.integers(n_queries))
-        script.append(ScriptedArrival(now, query_index, arrival_class))
-    return script
-
-
-def run_scripted_point(
-    oracle: ServiceOracle,
-    policy: ParallelismPolicy,
-    config: LoadPointConfig,
-    script: Sequence[ScriptedArrival],
-    controllers: Sequence[object] = (),
-    tracer: Optional[Tracer] = None,
-) -> Tuple[LoadPointSummary, IndexServerModel]:
-    """Replay ``script`` through the virtual-time server and summarize.
-
-    Mirrors :func:`~repro.sim.experiment.run_load_point` exactly —
-    same server wiring, same horizon-then-bounded-drain schedule, same
-    summary — except the arrivals are the given script instead of
-    being drawn online. Returns ``(summary, server)``; the server is
-    returned so callers can inspect post-run state (shed counters,
-    class-shedding knobs toggled by controllers).
-    """
-    simulator = Simulator()
-    metrics = MetricsCollector(config.warmup, config.duration, config.n_cores)
-    server = IndexServerModel(
-        simulator, oracle, policy, config.n_cores, metrics,
-        clamp_to_plan=config.clamp_to_plan,
-        deadline=config.deadline,
-        max_queue_length=config.max_queue_length,
-        tracer=tracer,
-    )
-    for controller in controllers:
-        controller.attach(simulator, server, metrics, horizon_s=config.duration)
-    for arrival in script:
-        simulator.schedule_at(
-            arrival.time_s,
-            lambda a=arrival: server.submit(
-                a.query_index, query_class=a.query_class
-            ),
-        )
-    simulator.run(until_s=config.duration)
-    drain_limit = config.duration * 10.0
-    while (
-        server.n_running or server.queue_length
-    ) and simulator.now < drain_limit and simulator.pending_events:
-        simulator.step()
-
-    queue_delays = metrics.queue_delays()
-    offered = config.rate * oracle.mean_sequential_latency() / config.n_cores
-    summary = summarize_load_point(metrics, policy, config, offered, queue_delays)
-    return summary, server
+    """Materialize the arrival stream ``run_load_point`` would draw."""
+    return list(arrival_stream(n_queries, config, arrivals, query_sampler))

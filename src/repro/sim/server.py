@@ -18,8 +18,8 @@ The model is clock-agnostic: it touches time only through the injected
 ``.schedule(delay_s, callback)``). The virtual-time
 :class:`~repro.sim.engine.Simulator` satisfies it for simulation; the
 live runtime rehosts the *same* model on a wall-clock scheduler
-(:mod:`repro.runtime.serve`) or on the manually-advanced
-:class:`~repro.runtime.clock.FakeClock` in deterministic server tests.
+(:mod:`repro.runtime.serve`); its deterministic tests host it on a
+``Simulator`` they step by hand.
 
 Incremental ("few-to-many") policies yield two-phase jobs: a sequential
 probe, then — if the query outlives the probe — an escalation to the

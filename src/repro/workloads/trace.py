@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.engine.query import MatchMode, Query
 from repro.errors import ConfigurationError
-from repro.sim.arrivals import ArrivalProcess
+from repro.sim.arrivals import ArrivalProcess, arrival_times
 from repro.util.validation import require_positive
 from repro.workloads.queries import QueryGenerator
 
@@ -64,15 +64,8 @@ class WorkloadTrace:
         require_positive(horizon, "horizon")
         times: List[float] = []
         queries: List[Query] = []
-        now = 0.0
-        while True:
-            gap = arrivals.next_interarrival()
-            if not np.isfinite(gap):
-                break
-            now += gap
-            if now > horizon:
-                break
-            times.append(now)
+        for time_s in arrival_times(arrivals, horizon):
+            times.append(time_s)
             queries.append(generator.sample())
         return WorkloadTrace(np.asarray(times, dtype=np.float64), queries)
 

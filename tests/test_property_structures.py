@@ -70,14 +70,14 @@ def test_posting_chunk_metadata_consistent(doc_ids, data):
             assert plist.chunk_upper_bound(chunk_id) == imp.max()
     assert seen == doc_ids
 
-    # Suffix bounds are the running maxima from each chunk onwards.
+    # Suffix bounds are the running maxima from each chunk onwards:
+    # one reverse pass carries the maximum of every later chunk.
     bounds = plist.suffix_upper_bounds(cm.n_chunks)
-    for chunk_id in range(cm.n_chunks):
-        tail_max = 0.0
-        for later in range(chunk_id, cm.n_chunks):
-            _, imp = plist.chunk_slice(later)
-            if imp.shape[0]:
-                tail_max = max(tail_max, float(imp.max()))
+    tail_max = 0.0
+    for chunk_id in reversed(range(cm.n_chunks)):
+        _, imp = plist.chunk_slice(chunk_id)
+        if imp.shape[0]:
+            tail_max = max(tail_max, float(imp.max()))
         assert bounds[chunk_id] == tail_max
 
 

@@ -1,7 +1,7 @@
 """Wall-clock tier: load generator, live smoke points, smoke harness.
 
-Unlike the FakeClock tests these spend real (but small — fractions of
-a second of model time) wall time: they boot the asyncio server on an
+Unlike the hand-stepped Simulator tests these spend real (but small —
+fractions of a second of model time) wall time: they boot the asyncio server on an
 AsyncioScheduler and replay scripts through real TCP. Assertions are
 structural (every request answered, schema shape, conservation of
 queries) or run through wide tolerance bands, so a loaded CI machine

@@ -2,10 +2,10 @@
 
 The headline of the live-serving tier: replaying one scripted workload
 through the virtual-time simulator and through the live serving node on
-a FakeClock must produce the *bit-identical* ordered sequence of kernel
+a Simulator must produce the *bit-identical* ordered sequence of kernel
 decisions (admit / shed / degree_grant / escalate) — the two hostings
-share the scheduling kernel, the policies, and the server model, and
-differ only in who advances the clock.
+share the scheduling kernel, the policies, the server model, and the
+open-loop driver, and differ only in how the node is assembled.
 """
 
 import json
@@ -30,6 +30,7 @@ from repro.policies.online import (
     OnlineDegreeController,
 )
 from repro.profiles.measurement import QueryCostTable
+from repro.obs.registry import RunObserver
 from repro.runtime.parity import (
     DEFAULT_TOLERANCES,
     compare_decision_sequences,
@@ -38,9 +39,9 @@ from repro.runtime.parity import (
     tolerance_report,
 )
 from repro.sim.anomaly import AnomalyGuard, AnomalyGuardConfig
-from repro.sim.experiment import LoadPointConfig
+from repro.sim.experiment import LoadPointConfig, run_load_point
 from repro.sim.oracle import ServiceOracle
-from repro.sim.script import build_arrival_script, run_scripted_point
+from repro.sim.script import build_arrival_script
 from repro.util.serde import to_jsonable
 
 
@@ -71,9 +72,9 @@ def _run_both(policy_factory, config, controllers_factory=None, oracle=None):
 
     sim_tracer = RecordingTracer()
     sim_controllers = controllers_factory() if controllers_factory else ()
-    sim_summary, _ = run_scripted_point(
-        oracle, policy_factory(), config, script,
-        controllers=sim_controllers, tracer=sim_tracer,
+    sim_summary = run_load_point(
+        oracle, policy_factory(), config,
+        observer=RunObserver(tracer=sim_tracer), controllers=sim_controllers,
     )
 
     live_tracer = RecordingTracer()
@@ -160,9 +161,10 @@ class TestDecisionParity:
 
         sim_tracer = RecordingTracer()
         sim_controllers = controllers()
-        sim_summary, _ = run_scripted_point(
-            oracle, policy_holder[-1], config, script,
-            controllers=sim_controllers, tracer=sim_tracer,
+        sim_summary = run_load_point(
+            oracle, policy_holder[-1], config,
+            observer=RunObserver(tracer=sim_tracer),
+            controllers=sim_controllers,
         )
         live_tracer = RecordingTracer()
         live_controllers = controllers()

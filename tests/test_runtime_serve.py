@@ -1,16 +1,18 @@
 """Deterministic asyncio tests for the live TCP front door.
 
 Every test here runs the real LiveServer over real localhost TCP, but
-on a FakeClock: model time only moves when the test advances it, so
-entire query lifecycles — admission, degree grant, service phases,
-completion, shedding — execute without a single real sleep. The only
-wall time spent is socket readiness, which the event loop wakes on
-immediately. ``asyncio.wait_for`` bounds are failure backstops, not
-pacing.
+on a Simulator the test steps by hand: model time only moves when the
+test advances it, so entire query lifecycles — admission, degree grant,
+service phases, completion, shedding — execute without a single real
+sleep. The only wall time spent is socket readiness, which the event
+loop wakes on immediately. ``asyncio.wait_for`` bounds are failure
+backstops, not pacing.
 """
 
 import asyncio
 import json
+import logging
+import socket
 
 import numpy as np
 
@@ -18,9 +20,9 @@ from repro.engine.query import Query
 from repro.errors import SimulationError
 from repro.policies.fixed import FixedPolicy, SequentialPolicy
 from repro.profiles.measurement import QueryCostTable
-from repro.runtime.clock import FakeClock
 from repro.runtime.node import QueryOutcome, ServingConfig, ServingNode
 from repro.runtime.serve import AsyncioScheduler, LiveServer
+from repro.sim.engine import Simulator
 from repro.sim.oracle import ServiceOracle
 
 #: Failure backstop for awaited reads in these tests (wall seconds);
@@ -118,7 +120,8 @@ async def _shutdown(service, serve_task, *clients):
 class TestControlOps:
     def test_ping_reports_fake_time(self):
         async def scenario():
-            clock = FakeClock(start_s=3.5)
+            clock = Simulator()
+            clock.run(until_s=3.5)
             service, serve_task, port = await _boot(_node(clock))
             client = await _Client.connect(port)
             reply = await client.ask({"id": 1, "op": "ping"})
@@ -129,7 +132,7 @@ class TestControlOps:
 
     def test_stats_counters_and_summary(self):
         async def scenario():
-            clock = FakeClock()
+            clock = Simulator()
             node = _node(clock)
             service, serve_task, port = await _boot(node)
             client = await _Client.connect(port)
@@ -149,7 +152,7 @@ class TestControlOps:
 
     def test_shutdown_op_stops_serving(self):
         async def scenario():
-            clock = FakeClock()
+            clock = Simulator()
             service, serve_task, port = await _boot(_node(clock))
             client = await _Client.connect(port)
             reply = await client.ask({"id": 4, "op": "shutdown"})
@@ -163,7 +166,7 @@ class TestControlOps:
 class TestBadRequests:
     def test_bad_json_unknown_op_bad_index_bad_budget(self):
         async def scenario():
-            clock = FakeClock()
+            clock = Simulator()
             service, serve_task, port = await _boot(_node(clock))
             client = await _Client.connect(port)
 
@@ -191,19 +194,63 @@ class TestBadRequests:
         asyncio.run(scenario())
 
 
+class TestConnectionLifecycle:
+    def test_oversized_line_gets_error_reply_and_close(self):
+        async def scenario():
+            service, serve_task, port = await _boot(_node(Simulator()))
+            client = await _Client.connect(port)
+            # Past the 64 KiB StreamReader line limit.
+            reply = await client.ask(b"x" * (128 * 1024) + b"\n")
+            assert reply == {"id": None, "ok": False, "error": "line-too-long"}
+            tail = await asyncio.wait_for(client.reader.read(), timeout=_IO_S)
+            assert tail == b"", "server must close after line-too-long"
+            await _shutdown(service, serve_task, client)
+
+        asyncio.run(scenario())
+
+    def test_shutdown_with_idle_connection_logs_no_error(self, caplog):
+        # A raw socket keeps the client's end open through asyncio.run's
+        # teardown (closing a stream client inside the loop would end
+        # the server's read by itself); it is closed once the loop is
+        # gone.
+        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        sock.setblocking(False)
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            service, serve_task, port = await _boot(_node(Simulator()))
+            await asyncio.wait_for(
+                loop.sock_connect(sock, ("127.0.0.1", port)), timeout=_IO_S
+            )
+            await loop.sock_sendall(sock, b'{"id": 1, "op": "ping"}\n')
+            reply = await asyncio.wait_for(loop.sock_recv(sock, 4096), timeout=_IO_S)
+            assert json.loads(reply)["ok"]
+            service.request_shutdown()
+            await asyncio.wait_for(serve_task, timeout=_IO_S)
+
+        try:
+            with caplog.at_level(logging.ERROR, logger="asyncio"):
+                asyncio.run(scenario())
+        finally:
+            sock.close()
+        errors = [r.getMessage() for r in caplog.records
+                  if r.name == "asyncio" and r.levelno >= logging.ERROR]
+        assert errors == []
+
+
 class TestSearchLifecycle:
     def test_search_completes_when_clock_advances(self):
         async def scenario():
-            clock = FakeClock()
+            clock = Simulator()
             node = _node(clock)
             service, serve_task, port = await _boot(node)
             client = await _Client.connect(port)
             await client.send({"id": 10, "op": "search", "query_index": 1})
             # The query is dispatched once the server task runs; its
-            # service phases live on the FakeClock.
-            assert await _yield_until(lambda: clock.pending > 0)
+            # service phases live on the simulator.
+            assert await _yield_until(lambda: clock.pending_events > 0)
             assert node.server.n_running == 1
-            clock.drain()
+            clock.run()
             reply = await client.recv()
             assert reply["id"] == 10 and reply["ok"]
             assert reply["status"] == "completed"
@@ -220,7 +267,7 @@ class TestSearchLifecycle:
         """Each search is its own task: a fast query submitted second
         must answer first, keyed by request id."""
         async def scenario():
-            clock = FakeClock()
+            clock = Simulator()
             node = _node(clock, policy=SequentialPolicy(),
                          table=_table(t1s=(5.0, 1.0)))
             service, serve_task, port = await _boot(node)
@@ -228,7 +275,7 @@ class TestSearchLifecycle:
             await client.send({"id": "slow", "op": "search", "query_index": 0})
             await client.send({"id": "fast", "op": "search", "query_index": 1})
             assert await _yield_until(lambda: node.server.n_running == 2)
-            clock.drain()
+            clock.run()
             first = await client.recv()
             second = await client.recv()
             assert [first["id"], second["id"]] == ["fast", "slow"]
@@ -240,7 +287,7 @@ class TestSearchLifecycle:
 
     def test_admission_shed_replies_without_clock_advance(self):
         async def scenario():
-            clock = FakeClock()
+            clock = Simulator()
             node = _node(clock, policy=SequentialPolicy(), n_cores=1,
                          max_queue_length=1)
             service, serve_task, port = await _boot(node)
@@ -256,7 +303,7 @@ class TestSearchLifecycle:
             assert reply["status"] == "shed"
             assert reply["shed_reason"]
             assert clock.now == 0.0  # reprolint: disable=R004 -- shed must happen synchronously, before any clock advance
-            clock.drain()
+            clock.run()
             replies = [await client.recv(), await client.recv()]
             assert sorted(r["id"] for r in replies) == [0, 1]
             assert all(r["status"] == "completed" for r in replies)
@@ -266,7 +313,7 @@ class TestSearchLifecycle:
 
     def test_request_budget_timeout(self):
         async def scenario():
-            clock = FakeClock()
+            clock = Simulator()
             node = _node(clock)
             service, serve_task, port = await _boot(node)
             client = await _Client.connect(port)
@@ -288,13 +335,13 @@ class TestSearchLifecycle:
             return ((17, 0.9), (4, 0.5))
 
         async def scenario():
-            clock = FakeClock()
+            clock = Simulator()
             node = _node(clock, engine_search=fake_search)
             service, serve_task, port = await _boot(node)
             client = await _Client.connect(port)
             await client.send({"id": 12, "op": "search", "query_index": 3})
-            assert await _yield_until(lambda: clock.pending > 0)
-            clock.drain()
+            assert await _yield_until(lambda: clock.pending_events > 0)
+            clock.run()
             reply = await client.recv()
             assert reply["results"] == [[17, 0.9], [4, 0.5]]
             assert calls == [(3, 2)]
@@ -304,7 +351,7 @@ class TestSearchLifecycle:
 
     def test_two_connections_counted_once(self):
         async def scenario():
-            clock = FakeClock()
+            clock = Simulator()
             node = _node(clock)
             service, serve_task, port = await _boot(node)
             a = await _Client.connect(port)
@@ -312,7 +359,7 @@ class TestSearchLifecycle:
             await a.send({"id": 1, "op": "search", "query_index": 0})
             await b.send({"id": 2, "op": "search", "query_index": 1})
             assert await _yield_until(lambda: node.server.n_running == 2)
-            clock.drain()
+            clock.run()
             ra = await a.recv()
             rb = await b.recv()
             assert ra["id"] == 1 and rb["id"] == 2
@@ -324,12 +371,12 @@ class TestSearchLifecycle:
 
 class TestNodeDirect:
     def test_on_done_fires_exactly_once(self):
-        clock = FakeClock()
+        clock = Simulator()
         node = _node(clock)
         outcomes = []
         node.submit(0, on_done=outcomes.append)
         assert outcomes == []
-        clock.drain()
+        clock.run()
         assert len(outcomes) == 1
         outcome = outcomes[0]
         assert isinstance(outcome, QueryOutcome)
@@ -337,7 +384,7 @@ class TestNodeDirect:
         assert outcome.latency_s == outcome.finished_s - outcome.arrival_s
 
     def test_shed_outcome_synchronous(self):
-        clock = FakeClock()
+        clock = Simulator()
         node = _node(clock, policy=SequentialPolicy(), n_cores=1,
                      max_queue_length=1)
         outcomes = []
@@ -345,17 +392,17 @@ class TestNodeDirect:
             node.submit(0, on_done=outcomes.append)
         assert [o.status for o in outcomes] == ["shed"]
         assert outcomes[0].shed_reason
-        clock.drain()
+        clock.run()
         assert sorted(o.status for o in outcomes) == [
             "completed", "completed", "shed"
         ]
 
     def test_summary_uses_shared_schema(self):
-        clock = FakeClock()
+        clock = Simulator()
         node = _node(clock, warmup_s=0.0, horizon_s=10.0)
         node.submit(0)
         node.submit(1)
-        clock.drain()
+        clock.run()
         summary = node.summary(rate=2.0)
         assert summary.observed == 2
         assert summary.policy == "fixed-2"
